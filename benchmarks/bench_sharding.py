@@ -5,6 +5,9 @@ road-like network (64x64 grid road topology) served either by one
 unsharded hub-set ``DistanceService`` or by a
 ``ShardedDistanceService`` with 4 regional tenants stitched together
 through the boundary-hub relay of :mod:`repro.serving.sharding`.
+Both rows are served by the same ``DistanceService`` query path; the
+sharded one answers from a ``ShardedSynopsis`` (shard synopses plus
+the relay), so the rows differ only in how each epoch is released.
 
 Per configuration the table reports the initial epoch build time, the
 cost of reacting to a congestion update — a *full* epoch rebuild for

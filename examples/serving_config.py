@@ -10,8 +10,9 @@ Walks the redesigned serving API end to end:
 3. ask for rich ``Estimate`` answers — value, effective noise scale,
    Laplace confidence interval — instead of bare floats,
 4. swap the same workload onto a sharded deployment by editing one
-   config field (the consumer code does not change: both servers
-   speak the ``DistanceServer`` protocol),
+   config field (the consumer code does not change: a sharded server
+   is a ``DistanceService`` whose synopsis routes pairs across shard
+   tenants and a boundary relay),
 5. inspect the mechanism registry the config names come from.
 
 Run with:  python examples/serving_config.py
@@ -70,7 +71,9 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # 4. Scale out by editing the manifest, not the consumer.
+    # 4. Scale out by editing the manifest, not the consumer: the
+    #    sharded server is the same DistanceService class serving a
+    #    ShardedSynopsis (shard synopses + boundary-hub relay).
     # ------------------------------------------------------------------
     sharded = serve(
         city.graph,
@@ -79,7 +82,8 @@ def main() -> None:
     )
     estimate = sharded.estimate((0, 0), (11, 11))
     print(
-        f"sharded ({sharded.mechanism}): same call surface, "
+        f"sharded ({sharded.mechanism}, a "
+        f"{type(sharded.synopsis).__name__}): same call surface, "
         f"value {estimate.value:.1f}, "
         f"composed scale {estimate.noise_scale:g}"
     )

@@ -17,12 +17,13 @@ This package turns that observation into a serving architecture:
 * :mod:`repro.serving.config` — :class:`ServingConfig`, the
   declarative JSON-round-trippable deployment document, and
   :func:`serve`, the one factory returning a
-  :class:`DistanceServer` (sharded or not);
+  :class:`DistanceService` (sharded or not);
 * :mod:`repro.serving.batching` — batch planning: dedupe, vectorized
   noise, latency reporting, the bounded answer cache;
 * :mod:`repro.serving.sharding` — sharded serving: a topology-only
   partitioner, one synopsis + ledger tenant per shard, and noisy
-  boundary-hub relays stitching cross-shard queries back together;
+  boundary-hub relays stitching cross-shard queries back together
+  into one :class:`ShardedSynopsis`;
 * :mod:`repro.serving.simulate` — rush-hour traffic replay measuring
   throughput and empirical error through the one serving interface.
 """
@@ -30,19 +31,14 @@ This package turns that observation into a serving architecture:
 from .batching import BatchPlanner, BatchReport, BoundedCache, fresh_batch
 from .ledger import BudgetLedger, LedgerEntry
 from .estimates import Estimate
-from .service import (
-    DistanceService,
-    MECHANISMS,
-    ServiceStats,
-    select_mechanism,
-)
+from .service import DistanceService, ServiceStats
 from .sharding import (
     ShardPlan,
     ShardedDistanceService,
+    ShardedSynopsis,
     partition_graph,
 )
 from .config import (
-    DistanceServer,
     EPOCH_POLICIES,
     ServingConfig,
     serve,
@@ -64,16 +60,14 @@ from .synopsis import (
 
 __all__ = [
     "DistanceService",
-    "DistanceServer",
     "ServingConfig",
     "serve",
     "EPOCH_POLICIES",
     "Estimate",
     "ServiceStats",
-    "select_mechanism",
-    "MECHANISMS",
     "ShardPlan",
     "ShardedDistanceService",
+    "ShardedSynopsis",
     "partition_graph",
     "BudgetLedger",
     "LedgerEntry",

@@ -49,7 +49,6 @@ from ..mechanisms import (
     MechanismParams,
     auto_select_mechanism,
     get_mechanism,
-    standalone_mechanisms,
 )
 from ..rng import Rng
 from ..telemetry import Telemetry, get_telemetry, use_telemetry
@@ -62,42 +61,18 @@ from .synopsis import DistanceSynopsis, canonical_pair
 __all__ = [
     "DistanceService",
     "ServiceStats",
-    "select_mechanism",
-    "MECHANISMS",
     "HUB_MIN_VERTICES",
     "HUB_SELECTION_MARGIN",
     "HUB_BOUNDED_MIN_VERTICES",
 ]
 
-#: Mechanisms a service can be forced to (graph + budget suffice) —
-#: the CLI's ``--mechanism`` choices.  Derived from the registry; kept
-#: under its historical name for compatibility.
-MECHANISMS = standalone_mechanisms()
-
-
-def select_mechanism(
-    graph: WeightedGraph,
-    budget: PrivacyParams,
-    weight_bound: float | None = None,
-) -> str:
-    """Pick the strongest release family the graph admits.
-
-    .. deprecated::
-        Thin shim over
-        :func:`repro.mechanisms.auto_select_mechanism`, kept for
-        callers of the pre-registry API; the registry contest makes
-        seeded-identical choices.  New code should call the registry
-        directly.
-    """
-    return auto_select_mechanism(graph, budget, weight_bound)
-
 
 class ServiceStats:
     """Running counters for one service instance.
 
-    Shared verbatim by :class:`DistanceService` and
-    :class:`~repro.serving.sharding.ShardedDistanceService` (the
-    :class:`~repro.serving.config.DistanceServer` contract), so
+    Every service keeps one, sharded or not (a
+    :class:`~repro.serving.sharding.ShardedDistanceService` counts its
+    routed queries here, and each shard tenant keeps its own), so
     consumers never special-case sharded services.
 
     The counters are single-sourced in the service's telemetry
@@ -180,8 +155,8 @@ class ServiceStats:
 
     @property
     def num_queries(self) -> int:
-        """Total queries served (point + batch) — the shared headline
-        counter of the ``DistanceServer`` surface."""
+        """Total queries served (point + batch) — the headline
+        counter."""
         return self.point_queries + self.batch_queries
 
     def as_dict(self) -> Dict[str, int]:
@@ -345,7 +320,7 @@ class DistanceService:
             epoch=self._ledger.epoch,
             mechanism=self._mechanism,
             backend=self._backend,
-            shards=1,
+            shards=self.num_shards,
         )
 
     # ------------------------------------------------------------------
@@ -520,7 +495,7 @@ class DistanceService:
         self._telemetry.flight.consider(
             elapsed,
             pair=(source, target),
-            route="point",
+            route=synopsis.route(source, target),
             mechanism=self._mechanism,
             epoch=self._ledger.epoch,
             tenant=self._tenant,
@@ -592,6 +567,11 @@ class DistanceService:
         return self._mechanism
 
     @property
+    def num_shards(self) -> int:
+        """How many shard tenants serve (1 unless sharded)."""
+        return 1
+
+    @property
     def backend(self) -> str | None:
         """The engine backend spec the service builds releases with
         (``None`` means auto-selection)."""
@@ -629,7 +609,7 @@ class DistanceService:
 
     def __repr__(self) -> str:
         return (
-            f"DistanceService(mechanism={self._mechanism!r}, "
+            f"{type(self).__name__}(mechanism={self._mechanism!r}, "
             f"budget={self._budget}, epoch={self._ledger.epoch}, "
             f"queries={self._stats.num_queries})"
         )

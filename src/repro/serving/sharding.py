@@ -61,6 +61,14 @@ exploits the engine's cheap re-weighting: a regional congestion update
 re-gathers the shard subgraph's weight array over the frozen CSR
 structure, rebuilds only that shard's synopsis plus the relay table,
 and leaves the other ``k - 1`` tenants serving untouched.
+
+A sharded deployment is a different *synopsis*, not a different
+service: the routing above lives in :class:`ShardedSynopsis` (the
+shard synopses plus the relay), and :class:`ShardedDistanceService`
+is a :class:`~repro.serving.service.DistanceService` that only
+overrides how an epoch's synopsis is built.  Queries, batches,
+estimates, the answer cache and telemetry are the one
+:class:`~repro.serving.service.DistanceService` path.
 """
 
 from __future__ import annotations
@@ -68,7 +76,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from typing import Dict, List, Mapping, MutableMapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -86,16 +94,15 @@ from ..graphs.graph import Edge, Vertex, WeightedGraph
 from ..graphs.io import _decode_vertex, _encode_vertex
 from ..mechanisms import MechanismParams, get_mechanism
 from ..rng import Rng
-from ..telemetry import Telemetry, get_telemetry, use_telemetry
-from .batching import BatchPlanner, BatchReport, BoundedCache
-from .estimates import Estimate
+from ..telemetry import Telemetry, use_telemetry
 from .ledger import BudgetLedger
-from .service import DistanceService, ServiceStats
-from .synopsis import canonical_pair
+from .service import DistanceService
+from .synopsis import DistanceSynopsis
 
 __all__ = [
     "ShardPlan",
     "ShardedDistanceService",
+    "ShardedSynopsis",
     "partition_graph",
     "DEFAULT_RELAY_FRACTION",
 ]
@@ -381,286 +388,84 @@ def partition_graph(
     )
 
 
-class ShardedDistanceService:
-    """A private distance service partitioned into regional tenants.
+
+
+class ShardedSynopsis(DistanceSynopsis):
+    """One epoch's sharded release as a single synopsis: the shard
+    tenants' synopses stitched together by the boundary-hub relay.
+
+    Every answer is post-processing of released values, so a
+    :class:`~repro.serving.service.DistanceService` serves this like
+    any other synopsis.  It registers no ``kind`` and has no
+    serializer (the relay structure has none); ship the shard
+    synopses instead.
 
     Parameters
     ----------
-    graph:
-        Public topology + the current epoch's private weights
-        (connected).
-    epoch_budget:
-        The ``(eps, delta)`` guarantee promised per epoch (a bare
-        float is taken as pure eps).  With two or more shards the
-        budget splits ``(1 - relay_fraction)`` to every shard tenant
-        (parallel composition over disjoint intra-shard edge sets)
-        and ``relay_fraction`` to the boundary-hub relay; with one
-        shard the single tenant receives it all and the service is
-        seeded-identical to the unsharded
-        :class:`~repro.serving.service.DistanceService`.
-    rng:
-        Noise source, consumed shard 0..k-1 then relay — a fixed,
-        reproducible order.
     shards:
-        How many shards to partition into (ignored when ``plan`` is
-        given).
-    weight_bound, mechanism, backend:
-        Forwarded to every shard's
-        :class:`~repro.serving.service.DistanceService`.
-    ledger:
-        Share a ledger with other products; defaults to a private
-        ledger with ``epoch_budget`` per tenant per epoch.  Every
-        shard spends under ``{tenant}/shard-{i}`` and the relay under
-        ``{tenant}/relay``, each failing closed independently.
+        Each shard tenant's synopsis, in shard order; ``None`` for a
+        shard whose last rebuild failed, whose pairs then refuse.
+    relay:
+        The released boundary-hub relay over ``plan.boundary``, or
+        ``None`` (one shard, or a refused relay spend): intra-shard
+        pairs are then answered by their shard alone and cross-shard
+        pairs refuse.
     plan:
-        Use an existing :class:`ShardPlan` instead of partitioning.
-    partition_seed:
-        Seed for :func:`partition_graph` (topology-only).
-    relay_fraction:
-        Fraction of the epoch budget spent on the relay table when
-        there are two or more shards (default
-        :data:`DEFAULT_RELAY_FRACTION`).
-    relay_hub_count, relay_ball_size:
-        Overrides for the relay hub structure (defaults
-        ``~sqrt(|boundary|)``).
-    telemetry:
-        The :class:`~repro.telemetry.Telemetry` bundle the service —
-        and every shard tenant — records into; ``None`` captures the
-        process's current bundle.  Instrumentation never touches the
-        rng, so routed answers are bit-identical whatever bundle is
-        in force.
+        The public shard plan pairs are routed by.
+    site_pos:
+        Per shard, the positions of its boundary vertices in
+        ``plan.boundary`` (the relay's site order).
+    params:
+        The epoch budget the shard and relay releases were paid from.
     """
 
     def __init__(
         self,
-        graph: WeightedGraph,
-        epoch_budget: PrivacyParams | float,
-        rng: Rng,
-        shards: int | None = None,
-        weight_bound: float | None = None,
-        mechanism: str | None = None,
-        ledger: BudgetLedger | None = None,
-        tenant: str = "sharded-distance-service",
-        backend: str | None = None,
-        plan: ShardPlan | None = None,
-        partition_seed: int = 0,
-        relay_fraction: float = DEFAULT_RELAY_FRACTION,
-        relay_hub_count: int | None = None,
-        relay_ball_size: int | None = None,
-        cache_size: int | None = None,
-        telemetry: Telemetry | None = None,
+        shards: Sequence[DistanceSynopsis | None],
+        relay: HubStructure | None,
+        plan: ShardPlan,
+        site_pos: Sequence[np.ndarray],
+        params: PrivacyParams,
     ) -> None:
-        if isinstance(epoch_budget, (int, float)):
-            epoch_budget = PrivacyParams(float(epoch_budget))
-        if plan is None:
-            if shards is None:
-                raise GraphError(
-                    "ShardedDistanceService needs either shards= or "
-                    "plan="
-                )
-            plan = partition_graph(graph, shards, seed=partition_seed)
-        else:
-            if shards is not None and shards != plan.num_shards:
-                raise GraphError(
-                    f"shards={shards} disagrees with the plan's "
-                    f"{plan.num_shards}"
-                )
-            if plan.num_vertices != graph.num_vertices:
-                raise GraphError(
-                    f"plan assigns {plan.num_vertices} vertices but "
-                    f"the graph has {graph.num_vertices}"
-                )
+        super().__init__(params)
+        self._shards = tuple(shards)
+        self._relay = relay
         self._plan = plan
-        self._budget = epoch_budget
-        self._rng = rng
-        self._tenant = tenant
-        self._backend = backend
-        self._owns_ledger = ledger is None
-        self._ledger = ledger if ledger is not None else BudgetLedger(
-            epoch_budget
+        self._site_pos = site_pos
+        self._shard_boundary = [
+            tuple(plan.boundary[int(p)] for p in positions)
+            for positions in site_pos
+        ]
+        self._relay_ball_cross = (
+            {} if relay is None else self._bucket_ball(relay)
         )
-        self._telemetry = (
-            telemetry if telemetry is not None else get_telemetry()
-        )
-        # Same gate as the unsharded service: the observed query path
-        # (per-query spans + flight-recorder offers) only runs when a
-        # profiler or flight recorder is live on the bundle.
-        self._observed = (
-            self._telemetry.flight.enabled
-            or self._telemetry.profiler.enabled
-        )
-        self._stats = ServiceStats(
-            telemetry=self._telemetry, tenant=tenant
-        )
-        self._cache: MutableMapping[Tuple[Vertex, Vertex], float] = (
-            {} if cache_size is None else BoundedCache(cache_size)
-        )
-        self._graph = graph
 
-        if plan.num_shards == 1:
-            # No cut, no relay, no split: bit-for-bit the unsharded
-            # service under the same seed.
-            self._shard_params = epoch_budget
-            self._relay_params: PrivacyParams | None = None
-        else:
-            if not 0.0 < relay_fraction < 1.0:
-                raise PrivacyError(
-                    f"relay_fraction must be in (0, 1), got "
-                    f"{relay_fraction}"
-                )
-            self._shard_params = PrivacyParams(
-                epoch_budget.eps * (1.0 - relay_fraction),
-                epoch_budget.delta * (1.0 - relay_fraction),
-            )
-            self._relay_params = PrivacyParams(
-                epoch_budget.eps * relay_fraction,
-                epoch_budget.delta * relay_fraction,
-            )
-        self._relay_hub_count = relay_hub_count
-        self._relay_ball_size = relay_ball_size
-        self._relay: HubStructure | None = None
-
-        # Edge classification over the full graph's canonical edge
-        # order: owning shard for intra-shard edges, -1 for cut edges.
-        # This is what lets refresh_shard verify an update really is
-        # regional before committing it.
-        plan_of = plan.shard_of
-        self._edge_keys = graph.edge_list()
-        edge_shard = np.empty(len(self._edge_keys), dtype=np.int64)
-        for e, (u, v) in enumerate(self._edge_keys):
-            su, sv = plan_of(u), plan_of(v)
-            edge_shard[e] = su if su == sv else -1
-        self._edge_shard = edge_shard
-
-        # Relay site bookkeeping (static across refreshes: the plan and
-        # boundary are topology-only).
-        self._shard_boundary: List[Tuple[Vertex, ...]] = []
-        self._site_pos: List[np.ndarray] = []
-        site_shard = np.asarray(
-            [plan_of(v) for v in plan.boundary], dtype=np.int64
-        )
-        for shard in range(plan.num_shards):
-            positions = np.flatnonzero(site_shard == shard)
-            self._site_pos.append(positions)
-            self._shard_boundary.append(
-                tuple(plan.boundary[int(p)] for p in positions)
-            )
-        self._site_shard = site_shard
+    def _bucket_ball(
+        self, relay: HubStructure
+    ) -> Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The relay's ball table bucketed by shard pair once per
+        release (the hub sample is redrawn each epoch, so exclusions
+        change too).  Same-shard buckets ((i, i)) refine the
+        intra-shard relay cap."""
+        m = len(self._plan.boundary)
+        site_shard = np.empty(m, dtype=np.int64)
         # Local position of each site within its shard's boundary list.
-        site_local = np.zeros(len(plan.boundary), dtype=np.int64)
-        for positions in self._site_pos:
+        site_local = np.empty(m, dtype=np.int64)
+        for shard, positions in enumerate(self._site_pos):
+            site_shard[positions] = shard
             site_local[positions] = np.arange(len(positions))
-        self._site_local = site_local
-        self._relay_ball_cross: Dict[
-            Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
-
-        # Build every shard tenant (spend-then-release inside each
-        # DistanceService), then the relay — a fixed rng order.
-        self._shard_graphs: List[WeightedGraph] = []
-        self._shard_edge_keys: List[List[Edge]] = []
-        self._services: List[DistanceService] = []
-        for shard in range(plan.num_shards):
-            sub = graph.subgraph(plan.members(shard))
-            self._shard_graphs.append(sub)
-            self._shard_edge_keys.append(sub.edge_list())
-            self._services.append(
-                DistanceService(
-                    sub,
-                    self._shard_params,
-                    rng,
-                    weight_bound=weight_bound,
-                    mechanism=mechanism,
-                    ledger=self._ledger,
-                    tenant=f"{tenant}/shard-{shard}",
-                    backend=backend,
-                    telemetry=self._telemetry,
-                )
-            )
-        if self._relay_params is not None:
-            self._build_relay()
-        self._stats.record_epoch_built()
-        self._bind_metrics()
-        self._telemetry.log.emit(
-            "service.start",
-            tenant=self._tenant,
-            epoch=self._ledger.epoch,
-            mechanism=self.mechanism,
-            backend=self._backend,
-            shards=self._plan.num_shards,
-        )
-
-    # ------------------------------------------------------------------
-    # Relay construction
-    # ------------------------------------------------------------------
-
-    def _build_relay(self) -> None:
-        """Release the boundary-hub relay table for the current epoch.
-
-        Spends the relay tenant's budget first (fail closed — a
-        refused spend draws no noise), then asks the registry's
-        ``boundary-relay`` mechanism for a hub structure over the
-        boundary sites on the *full* graph's CSR, so relay distances
-        may traverse any shard.
-        """
-        assert self._relay_params is not None
-        boundary = self._plan.boundary
-        m = len(boundary)
-        if m == 0:
-            raise GraphError(
-                "multi-shard plan has no boundary vertices"
-            )
-        start = time.perf_counter()
-        with use_telemetry(self._telemetry), self._telemetry.span(
-            "relay.build", sites=m, tenant=self._tenant
-        ):
-            relay_mechanism = get_mechanism("boundary-relay")
-            relay_params = MechanismParams(
-                budget=self._relay_params,
-                sites=boundary,
-                hub_count=self._relay_hub_count,
-                ball_size=self._relay_ball_size,
-            )
-            relay_mechanism.validate(self._graph, relay_params)
-            self._ledger.spend(
-                self._relay_params,
-                tenant=f"{self._tenant}/relay",
-                label=(
-                    f"epoch {self._ledger.epoch} boundary-hub relay "
-                    f"({m} sites)"
-                ),
-            )
-            structure = relay_mechanism.build(
-                self._graph, relay_params, self._rng
-            ).structure
-            self._telemetry.audit.record(
-                "relay.build",
-                epoch=self._ledger.epoch,
-                tenant=f"{self._tenant}/relay",
-                sites=m,
-            )
-        self._telemetry.registry.histogram(
-            "build.latency", phase="relay", mechanism="boundary-relay"
-        ).observe(time.perf_counter() - start)
-        # Bucket the ball table by shard pair once per build (the hub
-        # sample is redrawn each epoch, so exclusions change too).
-        # Same-shard buckets ((i, i)) refine the intra-shard relay cap.
         buckets: Dict[Tuple[int, int], List[List[float]]] = {}
-        for key, value in structure.ball.items():
+        for key, value in relay.ball.items():
             lo, hi = divmod(key, m)
-            pair = (
-                int(self._site_shard[lo]),
-                int(self._site_shard[hi]),
-            )
+            pair = (int(site_shard[lo]), int(site_shard[hi]))
             if pair[0] > pair[1]:
                 pair = (pair[1], pair[0])
                 lo, hi = hi, lo
-            buckets.setdefault(pair, [[], [], []])
-            rows = buckets[pair]
-            rows[0].append(int(self._site_local[lo]))
-            rows[1].append(int(self._site_local[hi]))
+            rows = buckets.setdefault(pair, [[], [], []])
+            rows[0].append(int(site_local[lo]))
+            rows[1].append(int(site_local[hi]))
             rows[2].append(value)
-        self._relay_ball_cross = {
+        return {
             pair: (
                 np.asarray(rows[0], dtype=np.int64),
                 np.asarray(rows[1], dtype=np.int64),
@@ -668,7 +473,20 @@ class ShardedDistanceService:
             )
             for pair, rows in buckets.items()
         }
-        self._relay = structure
+
+    @property
+    def relay(self) -> HubStructure | None:
+        """The boundary-hub relay structure, if one was released."""
+        return self._relay
+
+    def _shard(self, shard: int) -> DistanceSynopsis:
+        synopsis = self._shards[shard]
+        if synopsis is None:
+            raise PrivacyError(
+                f"shard {shard} has no synopsis for the current epoch "
+                "(its last rebuild failed); refresh it before querying"
+            )
+        return synopsis
 
     def _require_relay(self) -> HubStructure:
         if self._relay is None:
@@ -679,158 +497,27 @@ class ShardedDistanceService:
             )
         return self._relay
 
-    # ------------------------------------------------------------------
-    # Epoch lifecycle
-    # ------------------------------------------------------------------
-
-    def refresh(self, graph: WeightedGraph | None = None) -> None:
-        """Start a new epoch: rebuild every shard and the relay.
-
-        A privately owned ledger is rotated (the new weights are a new
-        database); a shared ledger is left to its owner, and the
-        rebuilds spend from the remaining epoch budget, failing closed
-        per tenant.
-        """
-        with use_telemetry(self._telemetry), self._telemetry.span(
-            "epoch.refresh", tenant=self._tenant,
-            shards=self._plan.num_shards,
-        ):
-            if self._owns_ledger:
-                self._ledger.rotate()
-            if graph is not None:
-                if graph.num_vertices != self._plan.num_vertices:
-                    raise GraphError(
-                        f"refresh graph has {graph.num_vertices} "
-                        f"vertices; the plan assigns "
-                        f"{self._plan.num_vertices}"
-                    )
-                self._graph = graph
-            self._cache.clear()
-            # Drop the relay first: if any rebuild fails partway the
-            # service must refuse cross-shard answers from the old
-            # epoch.
-            self._relay = None
-            for shard in range(self._plan.num_shards):
-                sub = self._reweighted_shard(shard, self._graph)
-                self._shard_graphs[shard] = sub
-                self._services[shard].refresh(sub)
-            if self._relay_params is not None:
-                self._build_relay()
-            self._telemetry.audit.record(
-                "epoch.refresh",
-                epoch=self._ledger.epoch,
-                tenant=self._tenant,
-                shards=self._plan.num_shards,
-                rotated=self._owns_ledger,
-            )
-            self._telemetry.log.emit(
-                "epoch.refresh",
-                tenant=self._tenant,
-                epoch=self._ledger.epoch,
-                shards=self._plan.num_shards,
-                rotated=self._owns_ledger,
-            )
-        self._stats.record_epoch_built()
-        self._bind_metrics()
-
-    def refresh_shard(
-        self,
-        shard: int,
-        weights: Mapping[Edge, float] | Sequence[float] | None = None,
-    ) -> None:
-        """Regional epoch update: rebuild one shard plus the relay.
-
-        ``weights`` (a mapping or a vector aligned with the full
-        graph's :meth:`~repro.graphs.graph.WeightedGraph.edge_list`)
-        may only differ from the current weights on the shard's own
-        edges and on cut edges — anything else would silently stale
-        the untouched tenants, so it raises
-        :class:`~repro.exceptions.GraphError` before any budget is
-        spent.  ``None`` re-releases the shard on the current weights.
-
-        The shard tenant and the relay tenant each spend again from
-        the remaining epoch budget (no rotation — the other shards
-        are still serving this epoch), so refreshed regions
-        accumulate loss toward each tenant's per-epoch cap (see the
-        module docstring's accounting note), failing closed
-        independently:
-        a refused shard spend leaves the relay and the other shards
-        untouched; a refused relay spend leaves every shard serving
-        but cross-shard queries refusing until the next successful
-        refresh.
-        """
-        if not 0 <= shard < self._plan.num_shards:
-            raise GraphError(
-                f"shard id {shard} out of range "
-                f"[0, {self._plan.num_shards})"
-            )
-        with use_telemetry(self._telemetry), self._telemetry.span(
-            "shard.refresh", shard=shard, tenant=self._tenant
-        ):
-            if weights is not None:
-                new_graph = self._graph.with_weights(weights)
-                self._check_regional(shard, new_graph)
-            else:
-                new_graph = self._graph
-            sub = self._reweighted_shard(shard, new_graph)
-            # Fails closed on budget before any noise is drawn; on
-            # failure the shard refuses to serve but nothing else
-            # moved.
-            self._services[shard].refresh(sub)
-            self._graph = new_graph
-            self._shard_graphs[shard] = sub
-            self._cache.clear()
-            self._stats.record_shard_refresh()
-            if self._relay_params is not None:
-                self._relay = None
-                self._build_relay()
-            self._telemetry.audit.record(
-                "shard.refresh",
-                epoch=self._ledger.epoch,
-                tenant=self._tenant,
-                shard=shard,
-            )
-            self._telemetry.log.emit(
-                "shard.refresh",
-                tenant=self._tenant,
-                epoch=self._ledger.epoch,
-                shard=shard,
-            )
-        self._bind_metrics()
-
-    def _reweighted_shard(  # privlint: ignore[PL1] feeds the shard tenant's budgeted synopsis build
-        self, shard: int, graph: WeightedGraph
-    ) -> WeightedGraph:
-        """The shard subgraph re-weighted from the full graph — an
-        O(edges) gather over the frozen topology (the subgraph clone
-        keeps the compiled CSR structure)."""
-        return self._shard_graphs[shard].with_weights(
-            [graph.weight(u, v) for u, v in self._shard_edge_keys[shard]]
+    def route(self, source: Vertex, target: Vertex) -> str:
+        """``"intra"`` for a same-shard pair, ``"cross"`` otherwise."""
+        plan = self._plan
+        return (
+            "intra"
+            if plan.shard_of(source) == plan.shard_of(target)
+            else "cross"
         )
 
-    def _check_regional(
-        self, shard: int, new_graph: WeightedGraph
-    ) -> None:
-        old = self._graph.weight_vector()
-        new = new_graph.weight_vector()
-        changed = old != new
-        allowed = (self._edge_shard == shard) | (self._edge_shard == -1)
-        bad = changed & ~allowed
-        if bad.any():
-            edge = self._edge_keys[int(np.argmax(bad))]
-            raise GraphError(
-                f"refresh_shard({shard}) may only change weights of "
-                f"shard-{shard} edges and cut edges; edge {edge!r} "
-                f"belongs elsewhere (use refresh() for a full epoch)"
-            )
-
-    # ------------------------------------------------------------------
-    # Query serving (post-processing only)
-    # ------------------------------------------------------------------
+    def distance(self, source: Vertex, target: Vertex) -> float:
+        """The released distance, routed by shard ownership."""
+        return self._distance(
+            source,
+            self._plan.shard_of(source),
+            target,
+            self._plan.shard_of(target),
+        )
 
     def _distance(self, s: Vertex, i: int, t: Vertex, j: int) -> float:
         if i == j:
-            direct = self._services[i].synopsis.distance(s, t)
+            direct = self._shard(i).distance(s, t)
             if s == t or self._relay is None:
                 # Single-shard service, or a failed relay rebuild:
                 # intra answers keep serving from the shard synopsis.
@@ -845,7 +532,7 @@ class ShardedDistanceService:
     def _boundary_distances(self, shard: int, v: Vertex) -> np.ndarray:
         """Released distances from ``v`` to its shard's boundary
         vertices (free post-processing of the shard synopsis)."""
-        synopsis = self._services[shard].synopsis
+        synopsis = self._shard(shard)
         return np.asarray(
             [
                 synopsis.distance(v, b)
@@ -906,184 +593,413 @@ class ShardedDistanceService:
                 )
         return max(best, 0.0)
 
-    def _bind_metrics(self) -> None:
-        """Re-resolve the hot-path latency histograms.
-
-        Called after every build so the ``mechanism`` label tracks the
-        shards' current selections without a registry lookup per
-        query.  Point queries are split by ``route`` (intra vs.
-        cross-shard) — the routes have very different cost profiles.
-        """
-        registry = self._telemetry.registry
-        mechanism = self.mechanism
-        self._intra_latency = registry.histogram(
-            "serving.query.latency",
-            service="sharded",
-            mechanism=mechanism,
-            route="intra",
-        )
-        self._cross_latency = registry.histogram(
-            "serving.query.latency",
-            service="sharded",
-            mechanism=mechanism,
-            route="cross",
-        )
-        self._batch_latency = registry.histogram(
-            "serving.batch.latency",
-            service="sharded",
-            mechanism=mechanism,
-        )
-
-    def query(self, source: Vertex, target: Vertex) -> float:
-        """Answer one distance query, routed by shard ownership."""
-        i = self._plan.shard_of(source)
-        j = self._plan.shard_of(target)
-        if self._observed:
-            return self._query_observed(source, i, target, j)
-        start = time.perf_counter()
-        key = canonical_pair(source, target)
-        hit = key in self._cache
-        if hit:
-            value = self._cache[key]
-        else:
-            value = self._distance(source, i, target, j)
-            self._cache[key] = value
-        latency = self._intra_latency if i == j else self._cross_latency
-        latency.observe(time.perf_counter() - start)
-        self._stats.record_point_query(hit)
-        return value
-
-    def _query_observed(
-        self, source: Vertex, i: int, target: Vertex, j: int
-    ) -> float:
-        """The routed query path when a profiler or flight recorder
-        is live: same lookups in the same order (answers
-        bit-identical), wrapped in a ``query.point`` span and offered
-        to the flight recorder afterwards."""
-        route = "intra" if i == j else "cross"
-        start = time.perf_counter()
-        with self._telemetry.span(
-            "query.point",
-            tenant=self._tenant,
-            route=route,
-            mechanism=self.mechanism,
-        ) as span:
-            key = canonical_pair(source, target)
-            hit = key in self._cache
-            if hit:
-                value = self._cache[key]
-            else:
-                value = self._distance(source, i, target, j)
-                self._cache[key] = value
-            span.set_attribute("cache_hit", hit)
-        elapsed = time.perf_counter() - start
-        latency = self._intra_latency if i == j else self._cross_latency
-        latency.observe(elapsed)
-        self._stats.record_point_query(hit)
-        self._telemetry.flight.consider(
-            elapsed,
-            pair=(source, target),
-            route=route,
-            mechanism=self.mechanism,
-            epoch=self._ledger.epoch,
-            tenant=self._tenant,
-            span=span,
-            cache_hit=hit,
-        )
-        return value
-
-    def query_batch(
-        self, pairs: Sequence[Tuple[Vertex, Vertex]]
-    ) -> BatchReport:
-        """Serve a batch with in-batch dedup and the cross-batch
-        cache; answers align with the input order.  Delegates to
-        :class:`~repro.serving.batching.BatchPlanner` over the shard
-        router, so batch accounting stays identical to the unsharded
-        service's."""
-        planner = BatchPlanner(
-            _ShardRouter(self),
-            cache=self._cache,
-            telemetry=self._telemetry,
-            labels={"service": "sharded", "mechanism": self.mechanism},
-        )
-        report = planner.run(pairs)
-        self._batch_latency.observe(report.elapsed_seconds)
-        self._stats.record_batch(report)
-        return report
-
-    def _noise_scale_for(
-        self, s: Vertex, i: int, t: Vertex, j: int, value: float
-    ) -> float:
-        """The effective noise scale behind the routed answer
-        ``value``.
+    def noise_scale_for(self, source: Vertex, target: Vertex) -> float:
+        """The effective noise scale behind ``distance(source, target)``.
 
         Intra-shard answers report the owning synopsis's per-pair
         scale unless the relay cap won the min, in which case — like
         every cross-shard answer — the scale is the composed relay
         chain ``sigma_i + 2 rho + sigma_j`` (one released boundary leg
         per endpoint shard at its synopsis's per-entry scale, plus the
-        two-entry relay term).  Which branch served the pair is read
-        off the value itself (``value == min(direct, cap)``, so the
-        direct estimate won iff it equals the value — one synopsis
-        lookup, no relay recomputation).  Deterministic
-        post-processing: no rng, no budget.
+        two-entry relay term).  Deterministic post-processing: no rng,
+        no budget.
         """
-        if s == t:
+        if source == target:
             return 0.0
-        if i == j:
-            synopsis = self._services[i].synopsis
-            if (
-                self._relay is None
-                or synopsis.distance(s, t) == value
-            ):
-                return synopsis.noise_scale_for(s, t)
-        relay = self._require_relay()
-        return (
-            self._services[i].synopsis.noise_scale
-            + 2.0 * relay.noise_scale
-            + self._services[j].synopsis.noise_scale
-        )
-
-    def estimate(self, source: Vertex, target: Vertex) -> Estimate:
-        """One routed query as a rich
-        :class:`~repro.serving.estimates.Estimate` — the ``query()``
-        value (bit-identical, shared cache and counters) plus the
-        composed noise scale of the branch that served it."""
-        value = self.query(source, target)
         i = self._plan.shard_of(source)
         j = self._plan.shard_of(target)
-        return Estimate(
-            value=value,
-            noise_scale=self._noise_scale_for(
-                source, i, target, j, value
-            ),
-            mechanism=self.mechanism,
-            epoch=self._ledger.epoch,
+        if i == j:
+            synopsis = self._shard(i)
+            # distance() is min(direct, cap): the direct estimate
+            # served the pair iff it is no larger than the cap.
+            if self._relay is None or synopsis.distance(
+                source, target
+            ) <= self._relay_candidate(source, i, target, j):
+                return synopsis.noise_scale_for(source, target)
+        relay = self._require_relay()
+        return (
+            self._shard(i).noise_scale
+            + 2.0 * relay.noise_scale
+            + self._shard(j).noise_scale
         )
 
-    def estimate_batch(  # privlint: ignore[PL1] serves values post-processed from the budget-accounted noised shard synopses
-        self, pairs: Sequence[Tuple[Vertex, Vertex]]
-    ) -> List[Estimate]:
-        """A batch of rich estimates, aligned with the input order
-        (values via :meth:`query_batch`; scales are free
-        post-processing)."""
-        report = self.query_batch(pairs)
-        mechanism, epoch = self.mechanism, self._ledger.epoch
-        return [
-            Estimate(
-                value=value,
-                noise_scale=self._noise_scale_for(
-                    s,
-                    self._plan.shard_of(s),
-                    t,
-                    self._plan.shard_of(t),
-                    value,
-                ),
-                mechanism=mechanism,
-                epoch=epoch,
+
+class ShardedDistanceService(DistanceService):
+    """A private distance service partitioned into regional tenants.
+
+    The build side of sharded serving: it partitions the topology,
+    splits the epoch budget, runs one
+    :class:`~repro.serving.service.DistanceService` tenant per shard
+    plus the relay release, and publishes each epoch as a
+    :class:`ShardedSynopsis`.  Queries, batches, estimates, the answer
+    cache, stats and telemetry are the inherited
+    :class:`~repro.serving.service.DistanceService` ones, served from
+    that synopsis.
+
+    Parameters
+    ----------
+    graph:
+        Public topology + the current epoch's private weights
+        (connected).
+    epoch_budget:
+        The ``(eps, delta)`` guarantee promised per epoch (a bare
+        float is taken as pure eps).  With two or more shards the
+        budget splits ``(1 - relay_fraction)`` to every shard tenant
+        (parallel composition over disjoint intra-shard edge sets)
+        and ``relay_fraction`` to the boundary-hub relay; with one
+        shard the single tenant receives it all and the service is
+        seeded-identical to the unsharded
+        :class:`~repro.serving.service.DistanceService`.
+    rng:
+        Noise source, consumed shard 0..k-1 then relay — a fixed,
+        reproducible order.
+    shards:
+        How many shards to partition into (ignored when ``plan`` is
+        given).
+    weight_bound, mechanism, backend:
+        Forwarded to every shard's
+        :class:`~repro.serving.service.DistanceService`.
+    ledger:
+        Share a ledger with other products; defaults to a private
+        ledger with ``epoch_budget`` per tenant per epoch.  Every
+        shard spends under ``{tenant}/shard-{i}`` and the relay under
+        ``{tenant}/relay``, each failing closed independently.
+    plan:
+        Use an existing :class:`ShardPlan` instead of partitioning.
+    partition_seed:
+        Seed for :func:`partition_graph` (topology-only).
+    relay_fraction:
+        Fraction of the epoch budget spent on the relay table when
+        there are two or more shards (default
+        :data:`DEFAULT_RELAY_FRACTION`).
+    relay_hub_count, relay_ball_size:
+        Overrides for the relay hub structure (defaults
+        ``~sqrt(|boundary|)``).
+    cache_size, telemetry:
+        As for :class:`~repro.serving.service.DistanceService`; every
+        shard tenant records into the same telemetry bundle.
+    """
+
+    def __init__(
+        self,
+        graph: WeightedGraph,
+        epoch_budget: PrivacyParams | float,
+        rng: Rng,
+        shards: int | None = None,
+        weight_bound: float | None = None,
+        mechanism: str | None = None,
+        ledger: BudgetLedger | None = None,
+        tenant: str = "sharded-distance-service",
+        backend: str | None = None,
+        plan: ShardPlan | None = None,
+        partition_seed: int = 0,
+        relay_fraction: float = DEFAULT_RELAY_FRACTION,
+        relay_hub_count: int | None = None,
+        relay_ball_size: int | None = None,
+        cache_size: int | None = None,
+        telemetry: Telemetry | None = None,
+    ) -> None:
+        if isinstance(epoch_budget, (int, float)):
+            epoch_budget = PrivacyParams(float(epoch_budget))
+        if plan is None:
+            if shards is None:
+                raise GraphError(
+                    "ShardedDistanceService needs either shards= or "
+                    "plan="
+                )
+            plan = partition_graph(graph, shards, seed=partition_seed)
+        else:
+            if shards is not None and shards != plan.num_shards:
+                raise GraphError(
+                    f"shards={shards} disagrees with the plan's "
+                    f"{plan.num_shards}"
+                )
+            if plan.num_vertices != graph.num_vertices:
+                raise GraphError(
+                    f"plan assigns {plan.num_vertices} vertices but "
+                    f"the graph has {graph.num_vertices}"
+                )
+        self._plan = plan
+
+        if plan.num_shards == 1:
+            # No cut, no relay, no split: bit-for-bit the unsharded
+            # service under the same seed.
+            self._shard_params = epoch_budget
+            self._relay_params: PrivacyParams | None = None
+        else:
+            if not 0.0 < relay_fraction < 1.0:
+                raise PrivacyError(
+                    f"relay_fraction must be in (0, 1), got "
+                    f"{relay_fraction}"
+                )
+            self._shard_params = PrivacyParams(
+                epoch_budget.eps * (1.0 - relay_fraction),
+                epoch_budget.delta * (1.0 - relay_fraction),
             )
-            for (s, t), value in zip(pairs, report.answers)
+            self._relay_params = PrivacyParams(
+                epoch_budget.eps * relay_fraction,
+                epoch_budget.delta * relay_fraction,
+            )
+        self._relay_hub_count = relay_hub_count
+        self._relay_ball_size = relay_ball_size
+
+        # Edge classification over the full graph's canonical edge
+        # order: owning shard for intra-shard edges, -1 for cut edges.
+        # This is what lets refresh_shard verify an update really is
+        # regional before committing it.
+        plan_of = plan.shard_of
+        self._edge_keys = graph.edge_list()
+        edge_shard = np.empty(len(self._edge_keys), dtype=np.int64)
+        for e, (u, v) in enumerate(self._edge_keys):
+            su, sv = plan_of(u), plan_of(v)
+            edge_shard[e] = su if su == sv else -1
+        self._edge_shard = edge_shard
+
+        # Each shard's boundary positions in the relay's site order
+        # (static across refreshes: the plan is topology-only).
+        site_shard = np.asarray(
+            [plan_of(v) for v in plan.boundary], dtype=np.int64
+        )
+        self._site_pos = [
+            np.flatnonzero(site_shard == shard)
+            for shard in range(plan.num_shards)
         ]
+        self._shard_graphs = [
+            graph.subgraph(plan.members(shard))
+            for shard in range(plan.num_shards)
+        ]
+        self._shard_edge_keys = [sub.edge_list() for sub in self._shard_graphs]
+        self._services: List[DistanceService] = []
+        super().__init__(
+            graph,
+            epoch_budget,
+            rng,
+            weight_bound=weight_bound,
+            mechanism=mechanism,
+            ledger=ledger,
+            tenant=tenant,
+            backend=backend,
+            cache_size=cache_size,
+            telemetry=telemetry,
+        )
+
+    # ------------------------------------------------------------------
+    # Epoch releases
+    # ------------------------------------------------------------------
+
+    def _build_synopsis(self) -> None:
+        """Release one epoch: every shard tenant in shard order (each
+        spends under its own ledger tenant before it draws), then the
+        relay — a fixed rng order."""
+        first_build = not self._services
+        for shard, sub in enumerate(self._shard_graphs):
+            if first_build:
+                self._services.append(
+                    DistanceService(
+                        sub,
+                        self._shard_params,
+                        self._rng,
+                        weight_bound=self._weight_bound,
+                        mechanism=self._forced_mechanism,
+                        ledger=self._ledger,
+                        tenant=f"{self._tenant}/shard-{shard}",
+                        backend=self._backend,
+                        telemetry=self._telemetry,
+                    )
+                )
+            else:
+                sub = self._reweighted_shard(shard, self._graph)
+                self._shard_graphs[shard] = sub
+                self._services[shard].refresh(sub)
+        self._rebuild_relay()
+        self._stats.record_epoch_built()
+        self._bind_metrics()
+
+    def _rebuild_relay(self) -> None:
+        """Publish the tenants' current synopses without a relay, then
+        release the relay and publish again, so a refused relay spend
+        leaves intra-shard pairs serving and cross-shard pairs
+        refusing."""
+        self._publish(None)
+        if self._relay_params is not None:
+            self._publish(self._build_relay())
+
+    def _publish(self, relay: HubStructure | None) -> None:
+        """Serve the shard tenants' current synopses with ``relay``."""
+        self._synopsis = ShardedSynopsis(
+            [tenant._synopsis for tenant in self._services],
+            relay,
+            self._plan,
+            self._site_pos,
+            self._budget,
+        )
+        inner = sorted(set(self.shard_mechanisms))
+        label = inner[0] if len(inner) == 1 else "mixed"
+        if self._plan.num_shards > 1:
+            label = f"sharded({self._plan.num_shards}x{label}+relay)"
+        self._mechanism = label
+
+    def _build_relay(self) -> HubStructure:
+        """Release the boundary-hub relay table for the current epoch.
+
+        Spends the relay tenant's budget first (fail closed — a
+        refused spend draws no noise), then asks the registry's
+        ``boundary-relay`` mechanism for a hub structure over the
+        boundary sites on the *full* graph's CSR, so relay distances
+        may traverse any shard.
+        """
+        assert self._relay_params is not None
+        boundary = self._plan.boundary
+        m = len(boundary)
+        if m == 0:
+            raise GraphError(
+                "multi-shard plan has no boundary vertices"
+            )
+        start = time.perf_counter()
+        with use_telemetry(self._telemetry), self._telemetry.span(
+            "relay.build", sites=m, tenant=self._tenant
+        ):
+            relay_mechanism = get_mechanism("boundary-relay")
+            relay_params = MechanismParams(
+                budget=self._relay_params,
+                sites=boundary,
+                hub_count=self._relay_hub_count,
+                ball_size=self._relay_ball_size,
+            )
+            relay_mechanism.validate(self._graph, relay_params)
+            self._ledger.spend(
+                self._relay_params,
+                tenant=f"{self._tenant}/relay",
+                label=(
+                    f"epoch {self._ledger.epoch} boundary-hub relay "
+                    f"({m} sites)"
+                ),
+            )
+            structure = relay_mechanism.build(
+                self._graph, relay_params, self._rng
+            ).structure
+            self._telemetry.audit.record(
+                "relay.build",
+                epoch=self._ledger.epoch,
+                tenant=f"{self._tenant}/relay",
+                sites=m,
+            )
+        self._telemetry.registry.histogram(
+            "build.latency", phase="relay", mechanism="boundary-relay"
+        ).observe(time.perf_counter() - start)
+        return structure
+
+    def refresh(self, graph: WeightedGraph | None = None) -> None:
+        """Start a new epoch: rebuild every shard and the relay (see
+        :meth:`DistanceService.refresh
+        <repro.serving.service.DistanceService.refresh>`).
+
+        The plan is fixed at construction, so a ``graph`` whose
+        topology differs from it raises
+        :class:`~repro.exceptions.GraphError` before the ledger
+        rotates or any budget is spent.
+        """
+        if graph is not None and (
+            graph.num_vertices != self._plan.num_vertices
+            or graph.edge_list() != self._edge_keys
+        ):
+            raise GraphError(
+                "refresh graph's topology differs from the shard "
+                "plan's; serve a new road network from a new service"
+            )
+        super().refresh(graph)
+
+    def refresh_shard(
+        self,
+        shard: int,
+        weights: Mapping[Edge, float] | Sequence[float] | None = None,
+    ) -> None:
+        """Regional epoch update: rebuild one shard plus the relay.
+
+        ``weights`` (a mapping or a vector aligned with the full
+        graph's :meth:`~repro.graphs.graph.WeightedGraph.edge_list`)
+        may only differ from the current weights on the shard's own
+        edges and on cut edges — anything else would silently stale
+        the untouched tenants, so it raises
+        :class:`~repro.exceptions.GraphError` before any budget is
+        spent.  ``None`` re-releases the shard on the current weights.
+
+        The shard tenant and the relay tenant each spend again from
+        the remaining epoch budget (no rotation — the other shards
+        are still serving this epoch), so refreshed regions
+        accumulate loss toward each tenant's per-epoch cap (see the
+        module docstring's accounting note), failing closed
+        independently:
+        a refused shard spend leaves the relay and the other shards
+        untouched; a refused relay spend leaves every shard serving
+        but cross-shard queries refusing until the next successful
+        refresh.
+        """
+        if not 0 <= shard < self._plan.num_shards:
+            raise GraphError(
+                f"shard id {shard} out of range "
+                f"[0, {self._plan.num_shards})"
+            )
+        with use_telemetry(self._telemetry), self._telemetry.span(
+            "shard.refresh", shard=shard, tenant=self._tenant
+        ):
+            if weights is not None:
+                new_graph = self._graph.with_weights(weights)
+                self._check_regional(shard, new_graph)
+            else:
+                new_graph = self._graph
+            sub = self._reweighted_shard(shard, new_graph)
+            try:
+                # Fails closed on budget before any noise is drawn.
+                self._services[shard].refresh(sub)
+            except Exception:
+                # The shard now refuses to serve; nothing else moved.
+                self._publish(self.relay)
+                raise
+            self._graph = new_graph
+            self._shard_graphs[shard] = sub
+            self._cache.clear()
+            self._stats.record_shard_refresh()
+            self._rebuild_relay()
+            self._telemetry.audit.record(
+                "shard.refresh",
+                epoch=self._ledger.epoch,
+                tenant=self._tenant,
+                shard=shard,
+            )
+            self._telemetry.log.emit(
+                "shard.refresh",
+                tenant=self._tenant,
+                epoch=self._ledger.epoch,
+                shard=shard,
+            )
+        self._bind_metrics()
+
+    def _reweighted_shard(  # privlint: ignore[PL1] feeds the shard tenant's budgeted synopsis build
+        self, shard: int, graph: WeightedGraph
+    ) -> WeightedGraph:
+        """The shard subgraph re-weighted from the full graph — an
+        O(edges) gather over the frozen topology (the subgraph clone
+        keeps the compiled CSR structure)."""
+        return self._shard_graphs[shard].with_weights(
+            [graph.weight(u, v) for u, v in self._shard_edge_keys[shard]]
+        )
+
+    def _check_regional(
+        self, shard: int, new_graph: WeightedGraph
+    ) -> None:
+        old = self._graph.weight_vector()
+        new = new_graph.weight_vector()
+        changed = old != new
+        allowed = (self._edge_shard == shard) | (self._edge_shard == -1)
+        bad = changed & ~allowed
+        if bad.any():
+            edge = self._edge_keys[int(np.argmax(bad))]
+            raise GraphError(
+                f"refresh_shard({shard}) may only change weights of "
+                f"shard-{shard} edges and cut edges; edge {edge!r} "
+                f"belongs elsewhere (use refresh() for a full epoch)"
+            )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1110,20 +1026,11 @@ class ShardedDistanceService:
         return tuple(s.mechanism for s in self._services)
 
     @property
-    def mechanism(self) -> str:
-        """A summary label: the inner mechanism for one shard, or
-        ``sharded(KxMECH+relay)`` for a multi-shard service."""
-        inner = sorted(set(self.shard_mechanisms))
-        label = inner[0] if len(inner) == 1 else "mixed"
-        if self._plan.num_shards == 1:
-            return label
-        return f"sharded({self._plan.num_shards}x{label}+relay)"
-
-    @property
     def relay(self) -> HubStructure | None:
         """The released boundary-hub relay structure (``None`` for a
         single-shard service, or after a failed rebuild)."""
-        return self._relay
+        synopsis = self._synopsis
+        return synopsis.relay if synopsis is not None else None
 
     @property
     def relay_params(self) -> PrivacyParams | None:
@@ -1134,63 +1041,3 @@ class ShardedDistanceService:
     def shard_params(self) -> PrivacyParams:
         """Each shard tenant's per-epoch budget share."""
         return self._shard_params
-
-    @property
-    def ledger(self) -> BudgetLedger:
-        """The budget ledger every tenant spends against."""
-        return self._ledger
-
-    @property
-    def epoch(self) -> int:
-        """The ledger epoch currently being served."""
-        return self._ledger.epoch
-
-    @property
-    def epoch_budget(self) -> PrivacyParams:
-        """The per-epoch privacy budget (before the split)."""
-        return self._budget
-
-    @property
-    def backend(self) -> str | None:
-        """The engine backend forwarded to shard tenants."""
-        return self._backend
-
-    @property
-    def stats(self) -> ServiceStats:
-        """Running serving counters (top-level routing; each shard
-        tenant also keeps its own)."""
-        return self._stats
-
-    @property
-    def telemetry(self) -> Telemetry:
-        """The telemetry bundle this service (and every shard tenant)
-        records into."""
-        return self._telemetry
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedDistanceService(shards={self._plan.num_shards}, "
-            f"mechanism={self.mechanism!r}, budget={self._budget}, "
-            f"epoch={self._ledger.epoch}, "
-            f"boundary={len(self._plan.boundary)})"
-        )
-
-
-class _ShardRouter:
-    """Adapter exposing the sharded routing path through the synopsis
-    surface (``distance(s, t)``) that
-    :class:`~repro.serving.batching.BatchPlanner` plans over."""
-
-    __slots__ = ("_service",)
-
-    def __init__(self, service: ShardedDistanceService) -> None:
-        self._service = service
-
-    def distance(self, source: Vertex, target: Vertex) -> float:
-        service = self._service
-        return service._distance(
-            source,
-            service._plan.shard_of(source),
-            target,
-            service._plan.shard_of(target),
-        )

@@ -163,6 +163,12 @@ class DistanceSynopsis:
             return 0.0
         return self.noise_scale
 
+    def route(self, source: Vertex, target: Vertex) -> str:
+        """The route label the flight recorder files a served pair
+        under: ``"point"``, unless a composite synopsis routes pairs
+        differently."""
+        return "point"
+
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------

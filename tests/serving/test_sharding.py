@@ -4,6 +4,8 @@ relays."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.exceptions import (
     GraphError,
     PrivacyError,
     VertexNotFoundError,
+    WeightError,
 )
 from repro.graphs import generators
 from repro.serving import (
@@ -372,6 +375,93 @@ class TestRegionalRefresh:
         service = ShardedDistanceService(road, 1.0, Rng(47), shards=2)
         with pytest.raises(GraphError):
             service.refresh_shard(2)
+
+    def test_refresh_rejects_topology_drift_before_spending(self):
+        """The plan's cut edges and boundary are fixed at construction:
+        a full refresh onto a graph with one extra cross-shard edge is
+        refused before the ledger rotates, and regional refreshes keep
+        working on the plan's topology."""
+        graph = grid_road_network(6, 6, Rng(48)).graph
+        service = ShardedDistanceService(graph, 1.0, Rng(49), shards=2)
+        plan = service.plan
+        u = plan.members(0)[0]
+        v = next(
+            w
+            for w in plan.members(1)
+            if not graph.has_edge(u, w)
+        )
+        drifted = graph.copy()
+        drifted.add_edge(u, v, 1.0)
+        epoch, records = service.epoch, len(service.ledger.records())
+        with pytest.raises(GraphError):
+            service.refresh(drifted)
+        assert service.epoch == epoch
+        assert len(service.ledger.records()) == records
+        # The drifted weight vector no longer lines up with the plan's
+        # edges: a library error, never a raw numpy broadcast failure.
+        with pytest.raises(WeightError):
+            service.refresh_shard(0, drifted.weight_vector())
+        service.refresh_shard(0, graph.weight_vector())
+        assert service.stats.shard_refreshes == 1
+
+
+def _seeded_sharded_digest() -> str:
+    """SHA-256 over a seeded ``shards=3`` service's point answers,
+    ``estimate_batch`` values and noise scales, point noise scales and
+    ledger records, across build -> ``refresh_shard(1, ...)`` ->
+    ``refresh()``."""
+    graph = grid_road_network(8, 8, Rng(21)).graph
+    service = ShardedDistanceService(graph, 500.0, Rng(2024), shards=3)
+    plan = service.plan
+    pairs = uniform_pairs(graph, 60, Rng(7))
+    digest = hashlib.sha256()
+
+    def record() -> None:
+        batch = service.estimate_batch(pairs[:30])
+        points = [service.query(s, t) for s, t in pairs]
+        scales = [
+            service.estimate(s, t).noise_scale for s, t in pairs[25:]
+        ]
+        for values in (
+            [e.value for e in batch],
+            [e.noise_scale for e in batch],
+            points,
+            scales,
+        ):
+            digest.update(np.asarray(values, dtype=np.float64).tobytes())
+
+    record()
+    weights = graph.weights()
+    for (u, v), w in list(weights.items()):
+        if plan.shard_of(u) == plan.shard_of(v) == 1:
+            weights[(u, v)] = w * 1.3
+    service.refresh_shard(1, weights)
+    record()
+    service.refresh()
+    record()
+    for entry in service.ledger.records():
+        digest.update(
+            repr(
+                (
+                    entry.epoch,
+                    entry.tenant,
+                    entry.label,
+                    entry.params.eps,
+                    entry.params.delta,
+                )
+            ).encode()
+        )
+    return digest.hexdigest()
+
+
+class TestSeededBitIdentity:
+    def test_pinned_sharded_digest(self):
+        """Answers, noise scales and ledger records of a seeded sharded
+        service, pinned: a refactor of the sharded path must leave
+        every released and served value bit-identical."""
+        assert _seeded_sharded_digest() == (
+            "c207cff41763247647e2c3faaaae37c190e3c99a38046443fed07c4f1a21e492"
+        )
 
 
 class TestConstruction:
