@@ -30,6 +30,7 @@ from typing import Callable, Tuple
 sys.path.insert(0, ".")  # allow `python benchmarks/bench_engine.py`
 
 from benchmarks.common import fresh_rng, print_experiment
+from benchmarks.ref_kernels import dense_distance_matrix, min_plus_apsp
 from repro.algorithms.shortest_paths import all_pairs_dijkstra
 from repro.analysis import render_table
 from repro.engine import CSRGraph, kernels
@@ -80,7 +81,7 @@ def run_experiment(quick: bool = False) -> str:
         lambda: kernels.relaxation_distances(csr, range(csr.n)), trials
     )
     t_minplus, minplus_matrix = _best_of(
-        lambda: kernels.min_plus_apsp(kernels.dense_distance_matrix(csr)),
+        lambda: min_plus_apsp(dense_distance_matrix(csr)),
         trials,
     )
 

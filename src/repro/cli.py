@@ -1005,8 +1005,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     # verify prints the compact verdict; replay prints the odometer.
     del summary["odometer"]
     if args.metrics is not None:
-        document = _load_snapshot(args.metrics)
-        validate_snapshot(document)
+        document = _load_document(args.metrics, validate_snapshot)
         summary["gauges_checked"] = verify_against_snapshot(
             records, document
         )
@@ -1018,8 +1017,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from .telemetry import validate_snapshot
     from .telemetry.monitor import evaluate_rules, load_alert_rules
 
-    document = _load_snapshot(args.report_in)
-    validate_snapshot(document)
+    document = _load_document(args.report_in, validate_snapshot)
     budgets: dict = {}
     latency: list = []
     for entry in document["metrics"]:
@@ -1100,19 +1098,19 @@ def _print_text_report(report: dict, rules_given: bool) -> None:
         )
 
 
-def _load_snapshot(path: str) -> dict:
-    """Parse a JSON document from a file, or stdin when ``path`` is
-    ``-`` — so snapshots and profiles convert offline in a pipe."""
-    from .exceptions import TelemetryError
+def _load_document(path: str, validate) -> dict:
+    """Read a versioned JSON document from a file, or stdin when
+    ``path`` is ``-`` (so snapshots and profiles convert offline in a
+    pipe), and check it with its ``validate_*`` reader.  Errors name
+    the source."""
+    from .exceptions import ReproError
 
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as error:
-        raise TelemetryError(
-            f"{'stdin' if path == '-' else path} is not valid JSON: "
-            f"{error}"
-        ) from None
+        return validate(text)
+    except ReproError as error:
+        source = "stdin" if path == "-" else path
+        raise type(error)(f"{source}: {error}") from None
 
 
 def _emit(rendered: str, out: str | None) -> None:
@@ -1126,8 +1124,7 @@ def _emit(rendered: str, out: str | None) -> None:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from .telemetry import snapshot_to_prometheus, validate_snapshot
 
-    document = _load_snapshot(args.metrics_in)
-    validate_snapshot(document)
+    document = _load_document(args.metrics_in, validate_snapshot)
     if args.tenant is not None:
         rendered = (
             json.dumps(_tenant_budget(document, args.tenant), indent=2)
@@ -1144,7 +1141,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .telemetry import validate_profile
 
-    document = validate_profile(_load_snapshot(args.profile_in))
+    document = _load_document(args.profile_in, validate_profile)
     if args.check:
         problems = _check_profile(document)
         if problems:
@@ -1216,7 +1213,7 @@ def _print_phase_table(document: dict) -> None:
 def _cmd_flight(args: argparse.Namespace) -> int:
     from .telemetry import validate_flight
 
-    document = validate_flight(_load_snapshot(args.flight_in))
+    document = _load_document(args.flight_in, validate_flight)
     if args.format == "json":
         print(json.dumps(document, indent=2))
         return 0

@@ -16,11 +16,6 @@ These are the compute primitives behind the ``"numpy"`` backend:
   over left-associated floating-point path sums, and floating-point
   ``min`` is exact, so the numpy backend agrees with the pure-Python
   one bit for bit.
-* :func:`min_plus_apsp` — min-plus matrix repeated squaring for small
-  dense graphs.  Doubling re-associates path sums, so this kernel is
-  exact on integer-valued weights and ulp-close otherwise; it is
-  exposed for dense workloads rather than wired into the default
-  dispatch.
 * :func:`laplace_perturb` — vectorized Laplace perturbation of a
   weight array (the release-side hot loop).
 * :func:`path_from_predecessors` — predecessor-array path
@@ -47,9 +42,6 @@ __all__ = [
     "sssp_dijkstra",
     "multi_source_distances",
     "relaxation_distances",
-    "bellman_ford_distances",
-    "min_plus_apsp",
-    "dense_distance_matrix",
     "laplace_perturb",
     "path_from_predecessors",
 ]
@@ -199,67 +191,6 @@ def relaxation_distances(
         else:
             raise GraphError("graph contains a negative cycle")
     return dist
-
-
-def bellman_ford_distances(csr: CSRGraph, source: int) -> np.ndarray:  # privlint: ignore[PL1] negative-weight reference kernel exercised by parity tests/benches; in-tree releases dispatch via multi_source_distances
-    """Single-source distances permitting negative weights.
-
-    The vectorized counterpart of
-    :func:`repro.algorithms.shortest_paths.bellman_ford` (distances
-    only; raises on a negative cycle).
-    """
-    if not csr.directed and csr.num_arcs and float(csr.weights.min()) < 0:
-        raise GraphError(
-            "negative undirected edge forms a negative cycle"
-        )
-    return relaxation_distances(csr, [source], allow_negative=True)[0]
-
-
-def dense_distance_matrix(csr: CSRGraph) -> np.ndarray:  # privlint: ignore[PL1] min-plus seed matrix for the bench-only APSP kernel; exercised by parity tests/benches
-    """The one-hop min-plus matrix: ``D[i, j]`` is the arc weight
-    (``inf`` if absent), with a zero diagonal."""
-    n = csr.n
-    dense = np.full((n, n), np.inf)
-    np.fill_diagonal(dense, 0.0)
-    if csr.num_arcs:
-        tails = np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(csr.indptr)
-        )
-        dense[tails, csr.indices] = csr.weights
-    return dense
-
-
-def min_plus_apsp(
-    dense: np.ndarray, row_block: int = 32
-) -> np.ndarray:
-    """All-pairs distances by min-plus repeated squaring.
-
-    ``dense`` is the one-hop matrix from :func:`dense_distance_matrix`.
-    ``ceil(log2(n-1))`` squarings suffice; each squaring is computed in
-    row blocks to bound the broadcast scratch at ``row_block * n^2``
-    floats.  O(n^3 log n) work but fully vectorized — intended for
-    small dense graphs (hundreds of vertices).
-    """
-    d = np.array(dense, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise EngineError(
-            f"min-plus kernel needs a square matrix, got {d.shape}"
-        )
-    n = d.shape[0]
-    if n <= 1:
-        return d
-    squarings = max(int(np.ceil(np.log2(n - 1))), 1) if n > 2 else 1
-    result = np.empty_like(d)
-    for _ in range(squarings):
-        for lo in range(0, n, row_block):
-            hi = min(lo + row_block, n)
-            result[lo:hi] = np.min(
-                d[lo:hi, :, None] + d[None, :, :], axis=1
-            )
-        if np.array_equal(result, d):
-            break
-        d, result = result, d
-    return d
 
 
 def laplace_perturb(

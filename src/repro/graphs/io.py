@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import IO, Any
 
 from ..exceptions import GraphError
+from ..formats import read_document
 from .graph import WeightedGraph
 
 __all__ = [
@@ -66,13 +67,10 @@ def graph_to_json(graph: WeightedGraph) -> str:
 
 def graph_from_json(text: str) -> WeightedGraph:
     """Deserialize a graph from :func:`graph_to_json` output."""
-    document = json.loads(text)
-    if document.get("format") != "repro-graph":
-        raise GraphError("not a repro-graph JSON document")
-    if document.get("version") != _FORMAT_VERSION:
-        raise GraphError(
-            f"unsupported format version {document.get('version')!r}"
-        )
+    document = read_document(
+        text, "repro-graph", _FORMAT_VERSION, GraphError, "graph",
+        {"directed": bool, "vertices": list, "edges": list},
+    )
     graph = WeightedGraph(directed=bool(document["directed"]))
     for v in document["vertices"]:
         graph.add_vertex(_decode_vertex(v))

@@ -49,6 +49,7 @@ from typing import (
 )
 
 from ..exceptions import LintError
+from ..formats import check_fields, read_document
 from .engine import FunctionInfo, ModuleUnit
 
 __all__ = [
@@ -542,73 +543,45 @@ def callgraph_document(graph: CallGraph) -> Dict[str, object]:
     }
 
 
-def validate_callgraph(doc: object) -> Dict[str, object]:
-    """Check a parsed ``repro-callgraph`` document; returns it typed.
+#: The typed fields of one ``functions`` entry.
+_FUNCTION_FIELDS = {
+    **dict.fromkeys(("id", "path", "module", "qualname"), str),
+    "line": int,
+    **dict.fromkeys(
+        ("returns_value", "serializes", "noises", "draws", "spends"), bool
+    ),
+    "reads": list,
+    "calls": list,
+}
 
-    Fail-closed in the house style: wrong format marker, unsupported
-    version, missing sections, a function entry without its summary
-    bits, a call whose target id is not a known function, or stats
-    that disagree with the listed functions all raise
+
+def validate_callgraph(doc: object) -> Dict[str, object]:
+    """Check a ``repro-callgraph`` document (JSON text or parsed);
+    returns it typed.
+
+    Fail-closed through :mod:`repro.formats`: wrong format marker,
+    unsupported version, missing sections, a function entry without
+    its summary bits, a call whose target id is not a known function,
+    or stats that disagree with the listed functions all raise
     :class:`~repro.exceptions.LintError`.
     """
-    if not isinstance(doc, dict):
-        raise LintError(
-            "callgraph must be a JSON object, got "
-            f"{type(doc).__name__}"
-        )
-    if doc.get("format") != CALLGRAPH_FORMAT:
-        raise LintError(
-            f"not a callgraph document (format={doc.get('format')!r}, "
-            f"expected {CALLGRAPH_FORMAT!r})"
-        )
-    if doc.get("version") != CALLGRAPH_VERSION:
-        raise LintError(
-            f"unsupported callgraph version {doc.get('version')!r} "
-            f"(this build reads version {CALLGRAPH_VERSION})"
-        )
-    functions = doc.get("functions")
-    if not isinstance(functions, list):
-        raise LintError("callgraph has no 'functions' list")
+    doc = read_document(
+        doc, CALLGRAPH_FORMAT, CALLGRAPH_VERSION, LintError, "callgraph",
+        {"functions": list, "stats": dict},
+    )
+    functions = doc["functions"]
     ids = set()
     for entry in functions:
-        if not isinstance(entry, dict):
-            raise LintError("callgraph function entry is not an object")
-        for key in ("id", "path", "module", "qualname"):
-            if not isinstance(entry.get(key), str):
-                raise LintError(
-                    f"callgraph function entry lacks string {key!r}"
-                )
-        if not isinstance(entry.get("line"), int):
-            raise LintError(
-                "callgraph function entry lacks integer 'line'"
-            )
-        for key in (
-            "returns_value",
-            "serializes",
-            "noises",
-            "draws",
-            "spends",
-        ):
-            if not isinstance(entry.get(key), bool):
-                raise LintError(
-                    f"callgraph function entry lacks boolean {key!r}"
-                )
-        if not isinstance(entry.get("reads"), list) or not isinstance(
-            entry.get("calls"), list
-        ):
-            raise LintError(
-                "callgraph function entry lacks 'reads'/'calls' lists"
-            )
+        check_fields(
+            entry, _FUNCTION_FIELDS, LintError, "callgraph function entry",
+        )
         ids.add(entry["id"])
     edges = 0
     for entry in functions:
         for call in entry["calls"]:
-            if not isinstance(call, dict) or not isinstance(
-                call.get("targets"), list
-            ):
-                raise LintError(
-                    "callgraph call site lacks a 'targets' list"
-                )
+            check_fields(
+                call, {"targets": list}, LintError, "callgraph call site",
+            )
             for target in call["targets"]:
                 if target not in ids:
                     raise LintError(
@@ -616,9 +589,7 @@ def validate_callgraph(doc: object) -> Dict[str, object]:
                         f"{target!r}"
                     )
                 edges += 1
-    stats = doc.get("stats")
-    if not isinstance(stats, dict):
-        raise LintError("callgraph has no 'stats' object")
+    stats = doc["stats"]
     if stats.get("functions") != len(functions) or (
         stats.get("edges") != edges
     ):

@@ -39,6 +39,7 @@ from typing import (
 )
 
 from ..exceptions import LintError
+from ..formats import check_fields, read_document
 from .engine import LintResult
 from .findings import Finding, finding_from_dict
 
@@ -129,33 +130,23 @@ def lint_document(
     }
 
 
-def validate_lint_report(doc: object) -> Dict[str, object]:
-    """Check a parsed lint report document; returns it typed as a dict.
+_SUMMARY_COUNTS = ("total", "new", "baselined", "suppressed", "unused_ignores")
 
-    Fail-closed in the house style of ``validate_profile`` /
-    ``validate_flight``: wrong format marker, unsupported version, a
-    missing findings list, a malformed finding entry, or a summary
-    that disagrees with the findings it summarizes all raise
-    :class:`~repro.exceptions.LintError`.
+
+def validate_lint_report(doc: object) -> Dict[str, object]:
+    """Check a lint report document (JSON text or parsed); returns it
+    typed as a dict.
+
+    Fail-closed through :mod:`repro.formats`: wrong format marker,
+    unsupported version, a missing section, a malformed finding entry,
+    or a summary that disagrees with the findings it summarizes all
+    raise :class:`~repro.exceptions.LintError`.
     """
-    if not isinstance(doc, dict):
-        raise LintError(
-            "lint report must be a JSON object, got "
-            f"{type(doc).__name__}"
-        )
-    if doc.get("format") != LINT_FORMAT:
-        raise LintError(
-            f"not a lint report (format={doc.get('format')!r}, "
-            f"expected {LINT_FORMAT!r})"
-        )
-    if doc.get("version") != LINT_VERSION:
-        raise LintError(
-            f"unsupported lint report version {doc.get('version')!r} "
-            f"(this build reads version {LINT_VERSION})"
-        )
-    findings = doc.get("findings")
-    if not isinstance(findings, list):
-        raise LintError("lint report has no 'findings' list")
+    doc = read_document(
+        doc, LINT_FORMAT, LINT_VERSION, LintError, "lint report",
+        {"findings": list, "unused_ignores": list, "summary": dict},
+    )
+    findings = doc["findings"]
     new = 0
     for entry in findings:
         finding_from_dict(entry)  # raises on malformed entries
@@ -165,33 +156,16 @@ def validate_lint_report(doc: object) -> Dict[str, object]:
             )
         if not entry["baselined"]:
             new += 1
-    unused = doc.get("unused_ignores")
-    if not isinstance(unused, list):
-        raise LintError("lint report has no 'unused_ignores' list")
+    unused = doc["unused_ignores"]
     for entry in unused:
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("path"), str)
-            or not isinstance(entry.get("line"), int)
-            or not isinstance(entry.get("rules"), list)
-        ):
-            raise LintError(
-                f"malformed unused-ignore entry: {entry!r}"
-            )
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        raise LintError("lint report has no 'summary' object")
-    for key in (
-        "total",
-        "new",
-        "baselined",
-        "suppressed",
-        "unused_ignores",
-    ):
-        if not isinstance(summary.get(key), int):
-            raise LintError(
-                f"lint report summary lacks integer {key!r}"
-            )
+        check_fields(
+            entry, {"path": str, "line": int, "rules": list}, LintError,
+            "lint report unused-ignore entry",
+        )
+    summary = check_fields(
+        doc["summary"], dict.fromkeys(_SUMMARY_COUNTS, int), LintError,
+        "lint report summary",
+    )
     if summary["total"] != len(findings) or summary["new"] != new:
         raise LintError(
             "lint report summary disagrees with its findings "
@@ -228,35 +202,21 @@ def load_baseline(path: Path) -> Dict[BaselineKey, int]:
     if not path.exists():
         return {}
     try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
+        text = path.read_text()
+    except OSError as error:
         raise LintError(
             f"cannot read lint baseline {path}: {error}"
         ) from None
-    if not isinstance(doc, dict) or doc.get("format") != BASELINE_FORMAT:
-        raise LintError(
-            f"{path} is not a lint baseline (expected format "
-            f"{BASELINE_FORMAT!r})"
-        )
-    version = doc.get("version")
-    if version not in (1, BASELINE_VERSION):
-        raise LintError(
-            f"unsupported lint baseline version "
-            f"{version!r} (this build reads versions 1 and "
-            f"{BASELINE_VERSION})"
-        )
-    entries = doc.get("entries")
-    if not isinstance(entries, list):
-        raise LintError(f"{path} has no 'entries' list")
+    entries = read_document(
+        text, BASELINE_FORMAT, (1, BASELINE_VERSION), LintError,
+        f"lint baseline {path}", {"entries": list},
+    )["entries"]
     keys: Dict[BaselineKey, int] = {}
     for entry in entries:
-        if not isinstance(entry, dict) or not all(
-            isinstance(entry.get(k), str)
-            for k in ("rule", "path", "message")
-        ):
-            raise LintError(
-                f"{path} has a malformed baseline entry: {entry!r}"
-            )
+        check_fields(
+            entry, dict.fromkeys(("rule", "path", "message"), str), LintError,
+            f"lint baseline {path} entry",
+        )
         count = entry.get("count", 1)
         if (
             not isinstance(count, int)

@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, replace
 
 from ..dp.params import PrivacyParams
 from ..exceptions import GraphError, PrivacyError
+from ..formats import read_document
 from ..graphs.graph import WeightedGraph
 from ..mechanisms import get_mechanism
 from ..rng import Rng
@@ -216,14 +217,9 @@ class ServingConfig:
         configs written before a knob existed); unknown fields are
         rejected (they are typos, not extensions).
         """
-        document = json.loads(text)
-        if document.get("format") != CONFIG_FORMAT:
-            raise GraphError("not a repro-serving-config JSON document")
-        if document.get("version") != _CONFIG_VERSION:
-            raise GraphError(
-                f"unsupported serving-config version "
-                f"{document.get('version')!r}"
-            )
+        document = read_document(
+            text, CONFIG_FORMAT, _CONFIG_VERSION, GraphError, "serving config",
+        )
         fields = {
             k: v
             for k, v in document.items()

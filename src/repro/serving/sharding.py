@@ -90,6 +90,7 @@ from ..exceptions import (
     PrivacyError,
     VertexNotFoundError,
 )
+from ..formats import read_document
 from ..graphs.graph import Edge, Vertex, WeightedGraph
 from ..graphs.io import _decode_vertex, _encode_vertex
 from ..mechanisms import MechanismParams, get_mechanism
@@ -283,14 +284,11 @@ class ShardPlan:
     @classmethod
     def from_json(cls, text: str) -> "ShardPlan":
         """Restore a plan serialized by :meth:`to_json`."""
-        document = json.loads(text)
-        if document.get("format") != _PLAN_FORMAT:
-            raise GraphError("not a repro-shard-plan JSON document")
-        if document.get("version") != _PLAN_VERSION:
-            raise GraphError(
-                f"unsupported shard-plan version "
-                f"{document.get('version')!r}"
-            )
+        document = read_document(
+            text, _PLAN_FORMAT, _PLAN_VERSION, GraphError, "shard plan",
+            {"num_shards": int, "assignment": list, "boundary": list,
+             "cut_edges": list},
+        )
         return cls(
             int(document["num_shards"]),
             {

@@ -51,6 +51,7 @@ from ..exceptions import (
     SynopsisError,
     VertexNotFoundError,
 )
+from ..formats import NUMBER, read_document
 from ..graphs.graph import Vertex, WeightedGraph
 from ..graphs.io import _decode_vertex, _encode_vertex
 from ..rng import Rng
@@ -201,13 +202,10 @@ class DistanceSynopsis:
 def synopsis_from_json(text: str) -> DistanceSynopsis:
     """Restore any registered synopsis from :meth:`DistanceSynopsis.to_json`
     output, dispatching on the document's ``kind``."""
-    document = json.loads(text)
-    if document.get("format") != SYNOPSIS_FORMAT:
-        raise SynopsisError("not a repro-synopsis JSON document")
-    if document.get("version") != _FORMAT_VERSION:
-        raise SynopsisError(
-            f"unsupported synopsis version {document.get('version')!r}"
-        )
+    document = read_document(
+        text, SYNOPSIS_FORMAT, _FORMAT_VERSION, SynopsisError, "synopsis",
+        {"eps": NUMBER, "delta": NUMBER},
+    )
     kind = document.get("kind")
     if kind not in _REGISTRY:
         raise SynopsisError(

@@ -18,6 +18,7 @@ import re
 from typing import Dict, List, Mapping
 
 from ..exceptions import TelemetryError
+from ..formats import read_document
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -89,28 +90,12 @@ def _format_value(value: object) -> str:
 
 
 def validate_snapshot(doc: object) -> Dict[str, object]:
-    """Check a parsed snapshot document; returns it typed as a dict."""
-    if not isinstance(doc, dict):
-        raise TelemetryError(
-            "telemetry snapshot must be a JSON object, got "
-            f"{type(doc).__name__}"
-        )
-    fmt = doc.get("format")
-    if fmt != SNAPSHOT_FORMAT:
-        raise TelemetryError(
-            f"not a telemetry snapshot (format={fmt!r}, expected "
-            f"{SNAPSHOT_FORMAT!r})"
-        )
-    version = doc.get("version")
-    if version != SNAPSHOT_VERSION:
-        raise TelemetryError(
-            f"unsupported telemetry snapshot version {version!r} "
-            f"(this build reads version {SNAPSHOT_VERSION})"
-        )
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, list):
-        raise TelemetryError("telemetry snapshot has no 'metrics' list")
-    return doc
+    """Check a snapshot document (JSON text or parsed); returns it
+    typed as a dict."""
+    return read_document(
+        doc, SNAPSHOT_FORMAT, SNAPSHOT_VERSION, TelemetryError,
+        "telemetry snapshot", {"metrics": list},
+    )
 
 
 def snapshot_to_prometheus(doc: Mapping[str, object]) -> str:

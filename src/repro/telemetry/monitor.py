@@ -32,12 +32,12 @@ the public ``estimate()`` surface and consume no extra budget.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..exceptions import TelemetryError
+from ..formats import read_document
 from .export import validate_snapshot
 
 __all__ = [
@@ -140,27 +140,10 @@ class Alert:
 
 def load_alert_rules(text: str) -> List[AlertRule]:
     """Parse a ``repro-alert-rules`` JSON document; fail-closed."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TelemetryError(
-            f"alert rules document is not valid JSON: {exc.msg}"
-        ) from exc
-    if not isinstance(doc, dict) or doc.get("format") != (
-        ALERT_RULES_FORMAT
-    ):
-        raise TelemetryError(
-            "not an alert-rules document (expected format "
-            f"{ALERT_RULES_FORMAT!r})"
-        )
-    if doc.get("version") != ALERT_RULES_VERSION:
-        raise TelemetryError(
-            f"unsupported alert-rules version {doc.get('version')!r} "
-            f"(this build reads version {ALERT_RULES_VERSION})"
-        )
-    rules = doc.get("rules")
-    if not isinstance(rules, list):
-        raise TelemetryError("alert-rules document has no 'rules' list")
+    rules = read_document(
+        text, ALERT_RULES_FORMAT, ALERT_RULES_VERSION, TelemetryError,
+        "alert rules", {"rules": list},
+    )["rules"]
     out: List[AlertRule] = []
     for i, raw in enumerate(rules):
         if not isinstance(raw, dict):

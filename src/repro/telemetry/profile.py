@@ -45,6 +45,7 @@ from collections import deque
 from typing import Deque, Dict, List, Mapping, Tuple
 
 from ..exceptions import TelemetryError
+from ..formats import read_document
 from .sketch import QuantileSketch
 from .tracer import Span, Tracer
 
@@ -439,25 +440,12 @@ def profile_document(
 
 
 def validate_profile(doc: object) -> Dict[str, object]:
-    """Check a parsed profile document; returns it typed as a dict."""
-    if not isinstance(doc, dict):
-        raise TelemetryError(
-            "profile document must be a JSON object, got "
-            f"{type(doc).__name__}"
-        )
-    if doc.get("format") != PROFILE_FORMAT:
-        raise TelemetryError(
-            f"not a profile document (format={doc.get('format')!r}, "
-            f"expected {PROFILE_FORMAT!r})"
-        )
-    if doc.get("version") != PROFILE_VERSION:
-        raise TelemetryError(
-            f"unsupported profile version {doc.get('version')!r} "
-            f"(this build reads version {PROFILE_VERSION})"
-        )
-    if not isinstance(doc.get("phases"), list):
-        raise TelemetryError("profile document has no 'phases' list")
-    return doc
+    """Check a profile document (JSON text or parsed); returns it
+    typed as a dict."""
+    return read_document(
+        doc, PROFILE_FORMAT, PROFILE_VERSION, TelemetryError, "profile",
+        {"phases": list},
+    )
 
 
 # ----------------------------------------------------------------------
@@ -668,22 +656,9 @@ NULL_FLIGHT = NullFlightRecorder()
 
 
 def validate_flight(doc: object) -> Dict[str, object]:
-    """Check a parsed flight document; returns it typed as a dict."""
-    if not isinstance(doc, dict):
-        raise TelemetryError(
-            "flight document must be a JSON object, got "
-            f"{type(doc).__name__}"
-        )
-    if doc.get("format") != FLIGHT_FORMAT:
-        raise TelemetryError(
-            f"not a flight-record document (format="
-            f"{doc.get('format')!r}, expected {FLIGHT_FORMAT!r})"
-        )
-    if doc.get("version") != FLIGHT_VERSION:
-        raise TelemetryError(
-            f"unsupported flight-record version {doc.get('version')!r} "
-            f"(this build reads version {FLIGHT_VERSION})"
-        )
-    if not isinstance(doc.get("records"), list):
-        raise TelemetryError("flight document has no 'records' list")
-    return doc
+    """Check a flight document (JSON text or parsed); returns it typed
+    as a dict."""
+    return read_document(
+        doc, FLIGHT_FORMAT, FLIGHT_VERSION, TelemetryError,
+        "flight record", {"records": list},
+    )

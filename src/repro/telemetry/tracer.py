@@ -35,13 +35,9 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Callable, Deque, Dict, Iterator, List, Tuple
 
+from ._journal import _json_safe
+
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_SPAN"]
-
-
-def _json_safe(value: object) -> object:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
 
 
 class Span:

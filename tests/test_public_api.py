@@ -82,6 +82,7 @@ class TestExports:
             "repro.privlint.report",
             "repro.privlint.rules",
             "repro.privlint.suppressions",
+            "repro.formats",
         ],
     )
     def test_submodules_import_and_are_documented(self, module_name):
